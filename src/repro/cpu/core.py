@@ -11,6 +11,7 @@ validated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,20 @@ class CpuCore:
         The timeout advancing simulated time.  Returns the actual
         (jittered) duration in ns.
         """
+        duration = self.charge(segment, mean)
+        if duration > 0:
+            yield self.env.timeout(duration)
+        return duration
+
+    def charge(self, segment: str, mean: float | None = None) -> float:
+        """The bookkeeping half of :meth:`execute`, without advancing time.
+
+        Draws one jittered duration for ``segment`` from this core's
+        stream, accounts it exactly as :meth:`execute` does and returns
+        it; the caller is responsible for letting that much simulated
+        time pass (callback-tier code schedules its continuation at
+        ``env.now + duration``, the float a :class:`Timeout` computes).
+        """
         nominal = self.segment_mean(segment) if mean is None else mean
         duration = self.jitter.sample(nominal, self.rng)
         account = self.accounts.setdefault(segment, SegmentAccount())
@@ -108,9 +123,28 @@ class CpuCore:
         if self.record_samples:
             account.samples.append(duration)
         self.busy_ns += duration
-        if duration > 0:
-            yield self.env.timeout(duration)
         return duration
+
+    def charger(self, segment: str) -> Callable[[], float]:
+        """:meth:`charge` for one segment, with its mean and account
+        looked up once — for hot loops that charge the same segment over
+        and over (the idle MPI-wait chain).  Each call draws and accounts
+        exactly as ``charge(segment)`` would; the segment's account is
+        created up front."""
+        nominal = self.segment_mean(segment)
+        account = self.accounts.setdefault(segment, SegmentAccount())
+        jitter, rng = self.jitter, self.rng
+
+        def charge() -> float:
+            duration = jitter.sample(nominal, rng)
+            account.count += 1
+            account.total_ns += duration
+            if self.record_samples:
+                account.samples.append(duration)
+            self.busy_ns += duration
+            return duration
+
+        return charge
 
     def account(self, segment: str) -> SegmentAccount:
         """Accounting entry for ``segment`` (empty if never run)."""

@@ -137,8 +137,8 @@ class MpiComm:
         entry = yield from profiler.begin("mpich_wait_entry")
         yield from cpu.execute("mpich_wait_entry")
         yield from profiler.end("mpich_wait_entry", entry)
-        while not request.completed:
-            yield from self.stack.ucp.worker_progress()
+        ucp_request = request.ucp_request
+        yield from self.stack.ucp.progress_until(lambda: ucp_request.completed)
         after = yield from profiler.begin("mpich_after_progress")
         yield from cpu.execute("mpich_after_progress")
         yield from profiler.end("mpich_after_progress", after)
@@ -165,8 +165,14 @@ class MpiComm:
         # Already-completed requests still need their finalisation pass.
         for _ in range(len(requests) - len(remaining)):
             yield from cpu.execute("mpich_request_finalize")
+
+        def any_completed() -> bool:
+            return any(request.completed for request in remaining)
+
         while remaining:
-            yield from self.stack.ucp.worker_progress()
+            # Only this worker's passes complete its requests, so none of
+            # ``remaining`` has completed yet: at least one pass runs.
+            yield from self.stack.ucp.progress_until(any_completed)
             still = []
             for request in remaining:
                 if request.completed:

@@ -91,6 +91,10 @@ class UcpWorker:
         #: Transport error CQEs observed (structured failures, not hangs).
         self.transport_errors = 0
         self._recv_side_events = 0
+        #: Times a wait loop parked, running its empty passes as callbacks.
+        self.parks = 0
+        #: Empty passes that could not park, by reason ("traced", "profiled").
+        self.park_declines: dict[str, int] = {}
 
     # -- endpoints -----------------------------------------------------------------
     def create_ep(self, remote: "UcpWorker") -> "UcpEndpoint":
@@ -231,6 +235,12 @@ class UcpWorker:
             env.tracer.counter("hlp", "worker_progress_calls")
         start = yield from self.profiler.begin("ucp_worker_progress")
         yield from cpu.execute("ucp_prog_body")
+        return (yield from self._progress_rest(start))
+
+    def _progress_rest(self, start: float | None) -> Generator:
+        """The pass after its ``ucp_prog_body`` segment: re-posts, then
+        the transport poll (a parked pass resumes here)."""
+        env = self.node.env
         repost_start = env.now
         while self.pending_sends:
             # Ask the pended send's own transport/rail for space — the
@@ -251,6 +261,110 @@ class UcpWorker:
         events = yield from self.uct_worker.progress()
         yield from self.profiler.end("ucp_worker_progress", start)
         return events
+
+    def progress_until(self, predicate: Callable[[], bool]) -> Generator:
+        """Spin :meth:`worker_progress` until ``predicate()`` holds.
+
+        ``predicate`` is checked at every pass boundary — the MPI wait
+        loops (``MPI_Wait``, ``MPI_Waitall``) are this loop.  After a
+        pass that found nothing the process parks and the following
+        empty passes run on the callback tier (see :meth:`_park`); a
+        pass whose side effects are observable — traced, or inside an
+        active profiler region — declines, counted in
+        :attr:`park_declines` by reason.
+        """
+        idle = False
+        while not predicate():
+            if idle:
+                reason = self._park_declined()
+                if reason is None:
+                    if not (yield from self._park(predicate)):
+                        return None
+                    idle = (yield from self._progress_rest(None)) == 0
+                    continue
+                self.park_declines[reason] = self.park_declines.get(reason, 0) + 1
+            idle = (yield from self.worker_progress()) == 0
+        return None
+
+    def _park_declined(self) -> str | None:
+        """Why an empty pass may not run on the callback tier (None: it may)."""
+        if self.node.env.tracer.enabled:
+            return "traced"
+        profiler = self.profiler
+        if profiler.is_active("ucp_worker_progress") or profiler.is_active("llp_prog"):
+            return "profiled"
+        return None
+
+    def _park(self, predicate: Callable[[], bool]) -> Generator:
+        """Run empty passes as callbacks while this process sleeps.
+
+        Starts at a pass boundary.  An empty pass is two stages standing
+        in for its two CPU segments: the body stage checks
+        ``predicate()`` and charges ``ucp_prog_body``; the poll stage
+        looks for work — the head pending send able to post, a CQE on
+        any rail, an AM (shm deliveries included) — and, finding none,
+        counts the pass and charges ``llp_prog_empty``.  A stage's
+        continuation is pushed in the same step as the :class:`Timeout`
+        it replaces, at the same absolute time and with the same draw
+        from the core's stream, so the calendar, the RNG states and the
+        CPU accounts stay bit-identical to the process-tier loop.  A
+        zero-length stage continues within the step, exactly as
+        ``execute`` does without yielding; the process only parks once
+        a stage has been pushed.
+
+        Returns True when a poll saw work (the caller finishes that pass
+        with :meth:`_progress_rest`) and False when ``predicate()`` held
+        at a pass boundary.  Either way the process resumes within the
+        step that decided it (:meth:`Environment.fire_now`).
+        """
+        env = self.node.env
+        cpu = self.cpu
+        charge_body = cpu.charger("ucp_prog_body")
+        charge_empty = cpu.charger("llp_prog_empty")
+        uct = self.uct_worker
+        pending = self.pending_sends
+        # Every rail's CQ and the AM mailbox (shm deliveries land there too).
+        watched = [qp.cq.mailbox for iface in uct.ifaces for qp in iface.qps]
+        watched += [iface.am_mailbox for iface in uct.ifaces]
+        defer_at = env.defer_at
+        woken = env.event()
+
+        def run(at_poll: bool) -> bool | None:
+            """Run stages until one is pushed (None) or the wait decides."""
+            while True:
+                if not at_poll:
+                    if predicate():
+                        return False
+                    duration = charge_body()
+                    if duration > 0:
+                        defer_at(stage, env.now + duration, args=(True,))
+                        return None
+                at_poll = False
+                if (
+                    pending and pending[0][1].can_post(pending[0][0].payload_bytes)
+                ) or any(watched):
+                    return True
+                uct.progress_calls += 1
+                uct.empty_progress_calls += 1
+                duration = charge_empty()
+                if duration > 0:
+                    defer_at(stage, env.now + duration, args=(False,))
+                    return None
+
+        def stage(at_poll: bool) -> None:
+            decided = run(at_poll)
+            if decided is not None:
+                env.fire_now(woken, decided)
+
+        decided = run(False)
+        if decided is None:
+            self.parks += 1
+            decided = yield woken
+        # ``run`` and ``stage`` refer to each other.  The deciding stage
+        # pushed nothing, so break the cycle here: left to the cyclic
+        # collector, every park's closures linger in the old generation.
+        del stage
+        return decided
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -189,7 +189,7 @@ class UctIface:
         node = worker.node
         self.worker = worker
         self.node = node
-        self.name = name or f"{node.name}.iface{len(worker.ifaces)}"
+        self.name = name or node.next_iface_name()
         #: One queue pair per NIC rail.  Rail 0 keeps the historical
         #: ``{iface}.qp`` name so single-rail artefacts are unchanged.
         self.qps = [

@@ -94,6 +94,7 @@ class Node:
             overhead_std_ns=overhead_std,
         )
         self.memory = HostMemory(env, name=f"{name}.mem")
+        self._ifaces_opened = 0
         self.link = PcieLink(
             env, config.pcie, name=f"{name}.pcie", rng=scoped.get("pcie"),
             faults=faults,
@@ -134,6 +135,17 @@ class Node:
         )
         self.cores.append(core)
         return core
+
+    def next_iface_name(self) -> str:
+        """Name the next UCT interface opened on this node.
+
+        Interfaces are numbered per node, not per worker, so workers
+        sharing a node (several ranks, or one worker per core) get
+        distinct AM and CQ mailboxes; the first is ``{node}.iface0``.
+        """
+        index = self._ifaces_opened
+        self._ifaces_opened += 1
+        return f"{self.name}.iface{index}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name!r} cores={len(self.cores)}>"

@@ -737,6 +737,29 @@ class Environment:
             )
         self._push(at, priority, fn, args)
 
+    def fire_now(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` with ``value`` and run its callbacks right now.
+
+        Unlike :meth:`Event.succeed`, no calendar entry is pushed and no
+        sequence number is consumed: a process waiting on ``event``
+        resumes inside the current step, as if its code were part of the
+        entry being processed.  This lets callback-tier code hand work
+        back to a parked process without perturbing the calendar's keys
+        or tie-breaks.  Call it from callback-tier code, never from
+        inside a running process.
+
+        Raises
+        ------
+        SimulationError
+            If ``event`` has already been triggered.
+        """
+        if event._triggered:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = value
+        event._triggered = True
+        event._mark_processed()
+
     def chain(
         self,
         *steps: tuple[float, Callable[[], Any]],

@@ -10,6 +10,7 @@ from repro.collectives import (
     predicted_tree_broadcast_ns,
     recursive_doubling_allreduce,
     ring_allreduce,
+    run_collective,
     tree_broadcast,
 )
 from repro.node.cluster import Cluster
@@ -40,6 +41,19 @@ class TestRingAllreduce:
             ring_allreduce(cluster, iterations=0)
         with pytest.raises(ValueError):
             ring_allreduce(cluster, reduce_compute_ns=-1.0)
+
+
+    def test_four_ranks_per_node(self):
+        # Ranks sharing a node once shared one AM and one CQ mailbox, so
+        # a rank retired its neighbours' CQEs and the TxQ accounting broke.
+        totals = []
+        for _ in range(2):
+            cluster = Cluster(2, config=DET, processes_per_node=4)
+            result = run_collective("allreduce", cluster, iterations=1)
+            assert result.n_nodes == 8
+            assert result.steps == 14
+            totals.append(result.total_ns)
+        assert totals[0] == totals[1] > 0
 
 
 class TestRecursiveDoubling:

@@ -77,6 +77,40 @@ class TestExecute:
         assert env.now == pytest.approx(27.78 + 17.33)
 
 
+class TestCharge:
+    def test_accounts_like_execute_without_advancing_time(self):
+        env, charged = make_core(jitter=JitterModel())
+        _, executed = make_core(jitter=JitterModel())
+        duration = charged.charge("llp_prog")
+        assert env.now == 0.0
+
+        def body():
+            yield from executed.execute("llp_prog")
+
+        executed.env.run(until=executed.env.process(body()))
+        assert executed.env.now == duration
+        assert charged.account("llp_prog").total_ns == duration
+        assert charged.account("llp_prog").count == 1
+        assert charged.busy_ns == executed.busy_ns
+        assert (
+            charged.rng.bit_generator.state == executed.rng.bit_generator.state
+        )
+
+    def test_mean_override(self):
+        _, core = make_core()
+        assert core.charge("custom", mean=40.0) == 40.0
+        assert core.account("custom").total_ns == 40.0
+
+    def test_charger_matches_charge(self):
+        _, by_name = make_core(record_samples=True, jitter=JitterModel())
+        _, hoisted = make_core(record_samples=True, jitter=JitterModel())
+        charge = hoisted.charger("llp_prog")
+        drawn = [charge() for _ in range(50)]
+        assert drawn == [by_name.charge("llp_prog") for _ in range(50)]
+        assert hoisted.account("llp_prog") == by_name.account("llp_prog")
+        assert hoisted.busy_ns == by_name.busy_ns
+
+
 class TestAccounting:
     def test_account_counts_and_totals(self):
         env, core = make_core()

@@ -375,6 +375,53 @@ class TestCallbackTier:
         assert seen == [7]
 
 
+class TestFireNow:
+    """``fire_now`` resumes waiters inside the current step."""
+
+    def test_resumes_the_waiter_within_the_step(self):
+        env = Environment()
+        event = env.event()
+        seen = []
+
+        def waiter():
+            value = yield event
+            seen.append((env.now, value))
+
+        env.process(waiter())
+        env.defer(lambda: env.fire_now(event, "go"), 5.0)
+        env.run()
+        assert seen == [(5.0, "go")]
+        assert event.processed and event.value == "go"
+
+    def test_pushes_no_entry_and_consumes_no_sequence_number(self):
+        env = Environment()
+        event = env.event()
+        resumed = []
+
+        def waiter():
+            yield event
+            resumed.append(env.now)
+            yield env.event()  # block again, scheduling nothing
+
+        env.process(waiter())
+        env.run()  # the process starts and blocks on ``event``
+        pending, sequence = env._pending_count(), env._sequence
+        env.fire_now(event)
+        assert resumed == [0.0]
+        assert (env._pending_count(), env._sequence) == (pending, sequence)
+
+    def test_rejects_an_already_triggered_event(self):
+        env = Environment()
+        event = env.event()
+        event.succeed()
+        with pytest.raises(SimulationError, match="already been triggered"):
+            env.fire_now(event)
+        fired = env.event()
+        env.fire_now(fired)
+        with pytest.raises(SimulationError, match="already been triggered"):
+            env.fire_now(fired)
+
+
 class TestConditions:
     def test_all_of_waits_for_every_event(self):
         env = Environment()

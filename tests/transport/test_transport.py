@@ -84,6 +84,23 @@ class TestResolution:
         assert ep.transport.caps.name == "pcie_nic"
 
 
+class TestIfaceNaming:
+    def test_workers_on_one_node_get_distinct_mailboxes(self):
+        # Interfaces are numbered per node: two workers sharing a node
+        # must never dequeue each other's AMs or CQEs.
+        cluster = Cluster(2, config=DET, processes_per_node=2)
+        node = cluster.nodes[0]
+        ifaces = [UctWorker(node, core=core).create_iface() for core in node.cores]
+        assert [iface.name for iface in ifaces] == ["node0.iface0", "node0.iface1"]
+        assert ifaces[0].am_mailbox is not ifaces[1].am_mailbox
+        assert ifaces[0].qp.cq.mailbox is not ifaces[1].qp.cq.mailbox
+
+    def test_single_worker_node_keeps_iface0(self):
+        tb = Testbed(DET)
+        assert UctWorker(tb.node1).create_iface().name == "node1.iface0"
+        assert UctWorker(tb.node2).create_iface().name == "node2.iface0"
+
+
 class TestShmPath:
     def test_shm_post_completes_inline_and_delivers(self):
         cluster = Cluster(2, config=DET, processes_per_node=2)
