@@ -8,7 +8,7 @@ the multi-node payoff of the paper's single-link breakdown.
 import pytest
 from conftest import write_report
 
-from repro.collectives import predicted_ring_allreduce_ns, ring_allreduce
+from repro.collectives import predicted_ring_allreduce_ns, run_collective
 from repro.node import SystemConfig
 from repro.node.cluster import Cluster
 
@@ -20,8 +20,10 @@ ITERATIONS = 5
 def run_sweep():
     config = SystemConfig.paper_testbed(deterministic=True)
     return [
-        ring_allreduce(
+        run_collective(
+            "allreduce",
             Cluster(n, config=config),
+            algorithm="ring",
             iterations=ITERATIONS,
             reduce_compute_ns=REDUCE_NS,
         )

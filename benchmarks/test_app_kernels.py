@@ -9,28 +9,29 @@ fine-grained throughput.
 import pytest
 from conftest import write_report
 
-from repro.apps import run_halo_exchange, run_random_access
 from repro.node import SystemConfig
+from repro.traffic.workloads import halo_workload, run_random_access
 
 DET = SystemConfig.paper_testbed(deterministic=True)
 
 
 def run_stencil_pair():
-    switched = run_halo_exchange(config=DET, iterations=150)
-    direct = run_halo_exchange(
-        config=SystemConfig.paper_testbed_direct(deterministic=True), iterations=150
+    switched = halo_workload(DET, n_nodes=2, iterations=150)
+    direct = halo_workload(
+        SystemConfig.paper_testbed_direct(deterministic=True), n_nodes=2, iterations=150
     )
     return switched, direct
 
 
 def test_stencil_linear_speedup(benchmark, report_dir):
     switched, direct = benchmark.pedantic(run_stencil_pair, rounds=1, iterations=1)
-    saving = switched.comm_ns_per_iteration - direct.comm_ns_per_iteration
+    saving = switched["comm_ns_per_iteration"] - direct["comm_ns_per_iteration"]
     report = "\n".join(
         [
-            f"halo exchange with switch:    {switched.comm_ns_per_iteration:8.2f} ns/iter "
-            f"(comm fraction {switched.comm_fraction:.1%})",
-            f"halo exchange without switch: {direct.comm_ns_per_iteration:8.2f} ns/iter",
+            f"halo exchange with switch:    {switched['comm_ns_per_iteration']:8.2f} "
+            f"ns/iter (comm fraction {switched['comm_fraction']:.1%})",
+            f"halo exchange without switch: {direct['comm_ns_per_iteration']:8.2f} "
+            "ns/iter",
             f"application-level saving:     {saving:8.2f} ns "
             "(Figure 17d predicts 108 ns for the removed hop)",
         ]

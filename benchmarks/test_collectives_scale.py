@@ -14,7 +14,7 @@ import time
 from conftest import write_report
 from test_simulator_performance import _record
 
-from repro.collectives import predicted_ring_allreduce_ns, ring_allreduce
+from repro.collectives import predicted_ring_allreduce_ns, run_collective
 from repro.node import SystemConfig
 from repro.node.cluster import Cluster
 
@@ -30,8 +30,10 @@ def test_ring_allreduce_64_nodes_fat_tree(report_dir):
     cluster = Cluster(N_NODES, config=config)
 
     t0 = time.perf_counter()
-    result = ring_allreduce(
+    result = run_collective(
+        "allreduce",
         cluster,
+        algorithm="ring",
         payload_bytes=PAYLOAD_BYTES,
         reduce_compute_ns=REDUCE_NS,
         iterations=1,
@@ -97,8 +99,6 @@ def test_recursive_doubling_allreduce_1024_ranks(report_dir):
     replays through the event kernel (tiers 1-2: wheel + compiled
     chains); the analytic fast-forward does not cover collectives.
     """
-    from repro.collectives import recursive_doubling_allreduce
-
     n_ranks = 1024
     config = (
         SystemConfig.builder().deterministic().topology("fat_tree:16").build()
@@ -106,8 +106,10 @@ def test_recursive_doubling_allreduce_1024_ranks(report_dir):
     cluster = Cluster(n_ranks, config=config)
 
     t0 = time.perf_counter()
-    result = recursive_doubling_allreduce(
+    result = run_collective(
+        "allreduce",
         cluster,
+        algorithm="recursive_doubling",
         payload_bytes=PAYLOAD_BYTES,
         reduce_compute_ns=REDUCE_NS,
         iterations=1,

@@ -241,8 +241,8 @@ def test_tracer_overhead():
 def test_campaign_parallel_speed(benchmark):
     """Serial vs ``jobs=4`` wall-clock for the reference campaign.
 
-    Pending points flow through the work-stealing executor: one shared
-    task queue, each worker pulling the next point as it finishes, so
+    Pending points flow through ``execute_points``'s process pool: one
+    shared call queue, each idle worker pulling the next point, so
     whatever parallelism the host offers is spent on simulation rather
     than idling behind a pre-dealt chunk.  On a host that actually
     grants 4 cores the 8-point reference campaign must run at least
@@ -277,7 +277,7 @@ def test_campaign_parallel_speed(benchmark):
             "jobs4_wall_s": parallel_s,
             "speedup": speedup,
             "cpus": cpus,
-            "dispatch": "work-stealing",
+            "dispatch": "process-pool",
         },
     )
     if cpus >= 4:

@@ -11,11 +11,11 @@ fine-grained collectives, which is why the paper's breakdown matters.
 Run:  python examples/ring_allreduce.py
 """
 
-from repro.apps import run_ring_allreduce
+from repro.collectives import run_collective
 from repro.core.components import ComponentTimes
 from repro.core.models import EndToEndLatencyModel
 from repro.core.whatif import Metric, WhatIfAnalysis
-from repro.node import SystemConfig
+from repro.node import Cluster, SystemConfig
 
 REDUCE_NS = 20.0
 
@@ -26,13 +26,17 @@ def main() -> None:
     print(f"{'nodes':>6} {'steps':>6} {'simulated (ns)':>15} "
           f"{'2(N-1)(L+c) model':>18} {'error':>7}")
     for n_nodes in (2, 3, 4, 8, 16):
-        result = run_ring_allreduce(
-            n_nodes, config=config, iterations=5, reduce_compute_ns=REDUCE_NS
+        result = run_collective(
+            "allreduce",
+            Cluster(n_nodes, config=config),
+            algorithm="ring",
+            iterations=5,
+            reduce_compute_ns=REDUCE_NS,
         )
         model = result.steps * (e2e + REDUCE_NS)
-        error = abs(result.time_per_allreduce_ns - model) / model
+        error = abs(result.time_per_iteration_ns - model) / model
         print(f"{n_nodes:>6} {result.steps:>6} "
-              f"{result.time_per_allreduce_ns:>15.1f} {model:>18.1f} "
+              f"{result.time_per_iteration_ns:>15.1f} {model:>18.1f} "
               f"{error:>6.1%}")
 
     # What would the §7.1 integrated NIC buy a 16-node allreduce?

@@ -23,8 +23,8 @@ independent and deterministic.  Workload names come from the campaign
 registry (:mod:`repro.campaign.workloads`); unknown names raise
 ``KeyError`` listing what is registered.
 
-The legacy entry points (``Testbed(config)``, per-module config
-constructors, ``repro.apps.run_ring_allreduce``) keep working; this
+The lower-level entry points (``Testbed(config)``, per-module config
+constructors, ``repro.collectives.run_collective``) keep working; this
 module is the supported composition layer on top of them.
 """
 

@@ -5,9 +5,10 @@ The orchestration layer above the benchmarks.  A campaign is *data*: a
 :class:`~repro.node.config.SystemConfig`, fixed parameters, sweep axes
 (config paths or workload arguments) and seeds.  :func:`run_campaign`
 expands the spec, serves unchanged points from an on-disk
-:class:`ResultCache`, fans the rest across a ``multiprocessing`` pool
-with per-point failure isolation, and returns structured
-:class:`RunRecord`s instead of bare floats.
+:class:`ResultCache`, runs the rest through
+:func:`~repro.campaign.runner.execute_points` (inline at ``jobs=1``,
+else a process pool) with per-point failure isolation, and returns
+structured :class:`RunRecord`s instead of bare floats.
 
 Quick tour::
 

@@ -5,19 +5,17 @@ The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into a
 
 1. every point is first looked up in the on-disk result cache (when a
    ``cache_dir`` is given) — hits cost one JSON read;
-2. misses execute through a work-stealing executor (``jobs > 1``; see
-   :class:`repro.serve.executor.WorkStealingExecutor`) or inline
-   (``jobs == 1``).  Pending points sit in one shared queue and each
-   worker steals the next one the moment it finishes its previous
-   point, so the schedule balances itself even when per-point costs
-   are wildly uneven — a worker stuck on a 64-rank collective no
-   longer strands the short points that a strided pre-deal would have
-   pinned behind it.  A point that raises is captured as an ``error``
-   record — with type, message and traceback — and the rest of the
-   campaign continues.  A spec-level ``timeout_s`` arms a SIGALRM
-   watchdog around each point, so a hung simulation becomes a timeout
-   record instead of a wedged campaign, and ``retries`` re-attempts
-   errored points with exponential backoff;
+2. misses execute through :func:`execute_points`: inline when
+   ``jobs == 1``, otherwise on a stdlib process pool whose idle workers
+   pull the next point from one shared call queue, so the schedule
+   balances itself even when per-point costs are wildly uneven.  A
+   point that raises is captured as an ``error`` record — with type,
+   message and traceback — and the rest of the campaign continues; a
+   worker process that dies outright raises ``BrokenProcessPool``
+   instead of wedging the campaign.  A spec-level ``timeout_s`` arms a
+   SIGALRM watchdog around each point, so a hung simulation becomes a
+   timeout record, and ``retries`` re-attempts errored points with
+   exponential backoff;
 3. successful records are written back to the cache *by the worker that
    produced them*, point by point, so a campaign killed halfway resumes
    from its last completed point on the next run.
@@ -42,10 +40,9 @@ from repro.campaign.cache import ResultCache, point_cache_key
 from repro.campaign.records import STATUS_ERROR, STATUS_OK, CampaignResult, RunRecord
 from repro.campaign.spec import CampaignSpec, SweepPoint
 from repro.campaign.workloads import get_workload
-from repro.serve.executor import WorkStealingExecutor
 from repro.sim.hashing import canonicalize
 
-__all__ = ["PointTimeout", "run_campaign"]
+__all__ = ["PointTimeout", "execute_points", "run_campaign"]
 
 
 class PointTimeout(Exception):
@@ -195,6 +192,25 @@ def _point_payload(
     )
 
 
+def execute_points(payloads: list[tuple], jobs: int) -> list[dict[str, Any]]:
+    """Run :func:`_execute_point` over ``payloads``; records in payload order.
+
+    ``jobs <= 1`` (or at most one payload) runs inline.  Otherwise a
+    process pool of ``min(jobs, len(payloads))`` workers pulls points
+    from one shared call queue, and a worker that dies raises
+    ``BrokenProcessPool``.  The pool forks where fork exists, so
+    workloads registered at runtime reach the workers.
+    """
+    if jobs <= 1 or len(payloads) <= 1:
+        return [_execute_point(payload) for payload in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(min(jobs, len(payloads)), mp_context=context) as pool:
+        return list(pool.map(_execute_point, payloads))
+
+
 def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
@@ -235,23 +251,11 @@ def run_campaign(
         else:
             pending.append(_point_payload(spec, point, key, effective_cache_dir))
 
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            workers = min(jobs, len(pending))
-            # Work stealing: every pending point sits in one shared
-            # queue and each worker pulls the next the moment it
-            # finishes — the schedule balances itself even when
-            # per-point costs are uneven.  _execute_point never raises
-            # (errors become the record), so map cannot abort early.
-            with WorkStealingExecutor(_execute_point, workers) as executor:
-                outcomes = executor.map(pending)
-        else:
-            outcomes = [_execute_point(payload) for payload in pending]
-        # Workers already wrote their own successes into the cache
-        # (point by point, for resumability) — nothing to put here.
-        for payload in outcomes:
-            record = RunRecord.from_dict(payload)
-            records[record.index] = record
+    # Workers write their own successes into the cache (point by point,
+    # for resumability) — nothing to put here.
+    for payload in execute_points(pending, jobs):
+        record = RunRecord.from_dict(payload)
+        records[record.index] = record
 
     return CampaignResult(
         name=spec.name,

@@ -13,11 +13,10 @@ Each algorithm returns a :class:`CollectiveResult`; the matching
 analytic predictions built from the paper's per-message latency
 components live in :mod:`repro.collectives.model`.
 
-:func:`run_collective` is the single dispatch surface — op name plus
+:func:`run_collective` is the single entry point — op name plus
 ``algorithm=`` and ``offload=`` keywords — and is what the workloads,
-:meth:`repro.api.Experiment.run` and the CLI call.  The named
-functions (:func:`ring_allreduce` etc.) remain as thin wrappers over
-it.  ``offload="nic"`` selects the NIC-resident barrier/broadcast from
+:meth:`repro.api.Experiment.run` and the CLI call.  ``offload="nic"``
+selects the NIC-resident barrier/broadcast from
 :mod:`repro.collectives.offload`, which run their interior hops
 entirely on the adapters.
 
@@ -30,14 +29,7 @@ Quickstart::
     print(run.measurements["time_per_iteration_ns"])
 """
 
-from repro.collectives.algorithms import (
-    CollectiveResult,
-    barrier,
-    recursive_doubling_allreduce,
-    ring_allreduce,
-    run_collective,
-    tree_broadcast,
-)
+from repro.collectives.algorithms import CollectiveResult, run_collective
 from repro.collectives.model import (
     path_end_to_end_ns,
     predicted_barrier_ns,
@@ -50,7 +42,6 @@ from repro.collectives.model import (
 
 __all__ = [
     "CollectiveResult",
-    "barrier",
     "path_end_to_end_ns",
     "predicted_barrier_ns",
     "predicted_nic_barrier_ns",
@@ -58,8 +49,5 @@ __all__ = [
     "predicted_recursive_doubling_ns",
     "predicted_ring_allreduce_ns",
     "predicted_tree_broadcast_ns",
-    "recursive_doubling_allreduce",
-    "ring_allreduce",
     "run_collective",
-    "tree_broadcast",
 ]

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from repro.hlp.mpi import MpiComm, MpiStack
 from repro.node.cluster import Cluster
 
-__all__ = [
-    "CollectiveResult",
-    "barrier",
-    "recursive_doubling_allreduce",
-    "ring_allreduce",
-    "run_collective",
-    "tree_broadcast",
-]
+__all__ = ["CollectiveResult", "run_collective"]
 
 
 @dataclass
@@ -384,8 +377,7 @@ def run_collective(
     of barrier and bcast (:mod:`repro.collectives.offload`).  Remaining
     keyword arguments (``payload_bytes``, ``iterations``,
     ``reduce_compute_ns``, ``signal_period``, ``root``) pass through to
-    the implementation.  The legacy per-algorithm functions
-    (:func:`ring_allreduce` and friends) are thin wrappers over this.
+    the implementation.
     """
     if op not in _DEFAULT_ALGORITHM:
         raise ValueError(
@@ -412,75 +404,3 @@ def run_collective(
             f"registered: {', '.join(available)}"
         )
     return impl(cluster, **params)  # type: ignore[arg-type]
-
-
-# -- legacy entry points (thin wrappers over run_collective) -----------------
-
-def ring_allreduce(
-    cluster: Cluster,
-    payload_bytes: int = 8,
-    reduce_compute_ns: float = 20.0,
-    iterations: int = 20,
-    signal_period: int = 64,
-) -> CollectiveResult:
-    """Ring allreduce (see :func:`run_collective`, ``algorithm="ring"``)."""
-    return run_collective(
-        "allreduce",
-        cluster,
-        algorithm="ring",
-        payload_bytes=payload_bytes,
-        reduce_compute_ns=reduce_compute_ns,
-        iterations=iterations,
-        signal_period=signal_period,
-    )
-
-
-def recursive_doubling_allreduce(
-    cluster: Cluster,
-    payload_bytes: int = 8,
-    reduce_compute_ns: float = 20.0,
-    iterations: int = 1,
-    signal_period: int = 64,
-) -> CollectiveResult:
-    """Recursive-doubling allreduce (``algorithm="recursive_doubling"``)."""
-    return run_collective(
-        "allreduce",
-        cluster,
-        algorithm="recursive_doubling",
-        payload_bytes=payload_bytes,
-        reduce_compute_ns=reduce_compute_ns,
-        iterations=iterations,
-        signal_period=signal_period,
-    )
-
-
-def tree_broadcast(
-    cluster: Cluster,
-    payload_bytes: int = 8,
-    iterations: int = 1,
-    root: int = 0,
-    signal_period: int = 64,
-) -> CollectiveResult:
-    """Binomial-tree broadcast (see :func:`run_collective`, op ``bcast``)."""
-    return run_collective(
-        "bcast",
-        cluster,
-        payload_bytes=payload_bytes,
-        iterations=iterations,
-        root=root,
-        signal_period=signal_period,
-    )
-
-
-def barrier(
-    cluster: Cluster,
-    iterations: int = 1,
-    signal_period: int = 64,
-) -> CollectiveResult:
-    """Dissemination barrier (see :func:`run_collective`, op ``barrier``)."""
-    return run_collective(
-        "barrier",
-        cluster,
-        iterations=iterations,
-        signal_period=signal_period,
-    )

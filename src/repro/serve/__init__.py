@@ -14,8 +14,8 @@ This package answers queries through three tiers, cheapest first:
    answered in microseconds without simulating, an out-of-envelope
    query falls back to simulation rather than extrapolating;
 3. **simulation** as the backstop for store misses outside every
-   envelope, fanned out through an async job queue (:mod:`.queue`)
-   over a work-stealing executor (:mod:`.executor`).
+   envelope, fanned out across the campaign layer's process pool
+   (:func:`repro.campaign.runner.execute_points`).
 
 Simulation is also the *auditor*: a sampled verifier (:mod:`.verify`)
 re-simulates a configurable fraction of surrogate answers and
@@ -33,28 +33,24 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.serve.executor import ExecutorError, WorkStealingExecutor
 from repro.serve.store import ResultStore, code_version, query_key
 
 __all__ = [
     "AnalyticSurrogate",
     "Answer",
     "Envelope",
-    "ExecutorError",
     "InterpolatedSurrogate",
-    "JobQueue",
     "OutOfEnvelope",
     "Query",
     "ResultStore",
     "SampledVerifier",
     "ServeTier",
-    "WorkStealingExecutor",
     "code_version",
     "fit_surrogate",
     "query_key",
 ]
 
-#: Names resolved lazily so that importing the store/executor (which the
+#: Names resolved lazily so that importing the store (which the
 #: campaign layer builds on) never drags the campaign layer back in.
 _LAZY = {
     "AnalyticSurrogate": "repro.serve.surrogate",
@@ -63,7 +59,6 @@ _LAZY = {
     "OutOfEnvelope": "repro.serve.surrogate",
     "fit_surrogate": "repro.serve.surrogate",
     "SampledVerifier": "repro.serve.verify",
-    "JobQueue": "repro.serve.queue",
     "Answer": "repro.serve.service",
     "Query": "repro.serve.service",
     "ServeTier": "repro.serve.service",

@@ -15,9 +15,10 @@ flows through three tiers, cheapest first:
    its audit is replaced by the fresh simulation and the surrogate is
    quarantined;
 3. **simulation**: everything else runs the real workload — inline for
-   single queries, fanned out through the work-stealing executor for
-   batches — and the result is written back to the store, so the same
-   question is never simulated twice.
+   single queries, fanned out across a process pool for batches (see
+   :func:`repro.campaign.runner.execute_points`) — and the result is
+   written back to the store, so the same question is never simulated
+   twice.
 
 Counters mirror :mod:`repro.trace`'s style: monotonically increasing
 totals (queries, store hits, surrogate hits, simulations, ...) with
@@ -317,7 +318,7 @@ class ServeTier:
         return None
 
     def _payload(self, query: Query, config: SystemConfig, key: str) -> tuple:
-        """An :func:`repro.campaign.runner._execute_point` payload for a miss."""
+        """A :func:`repro.campaign.runner.execute_points` payload for a miss."""
         return (
             "serve",  # campaign name slot — shows up in record provenance
             0,
@@ -385,11 +386,11 @@ class ServeTier:
 
         Answers come back in query order.  Store and surrogate answers
         cost microseconds; the remaining misses (plus the sampled
-        verification re-simulations) run through the work-stealing
-        executor when ``jobs > 1``.
+        verification re-simulations) run through
+        :func:`repro.campaign.runner.execute_points`, on a process pool
+        when ``jobs > 1``.
         """
-        from repro.campaign.runner import _execute_point
-        from repro.serve.executor import WorkStealingExecutor
+        from repro.campaign.runner import execute_points
 
         jobs = jobs if jobs is not None else self.jobs
         started = time.perf_counter()
@@ -438,13 +439,7 @@ class ServeTier:
             items = sorted(needs_sim.items())
             payloads = [payload for _, payload in items]
             self.counters["simulations"] += len(payloads)
-            if jobs > 1 and len(payloads) > 1:
-                with WorkStealingExecutor(
-                    _execute_point, min(jobs, len(payloads))
-                ) as executor:
-                    records = executor.map(payloads)
-            else:
-                records = [_execute_point(payload) for payload in payloads]
+            records = execute_points(payloads, jobs)
             for (index, payload), record in zip(items, records):
                 q, key = queries[index], payload[7]
                 if index in audits:

@@ -7,10 +7,9 @@ Three families:
   per rank, with optional bursty on/off gaps; link-occupancy stats are
   reset before and snapshotted after, so each run's roll-up covers only
   its own frames.
-* App skeletons — :func:`run_halo_ranks` (1-D halo exchange, the old
-  ``repro.apps.stencil`` generalised to N ranks), :func:`run_pserver`
-  (parameter-server push/pull rounds), :func:`run_random_access` (the
-  GUPS kernel, moved from ``repro.apps.randomaccess``).
+* App skeletons — :func:`run_halo_ranks` (1-D halo exchange across N
+  ranks), :func:`run_pserver` (parameter-server push/pull rounds),
+  :func:`run_random_access` (the GUPS kernel).
 * ``*_workload`` wrappers with the uniform campaign signature
   ``workload(config, **params) -> dict`` — registered in
   :mod:`repro.campaign.workloads` as ``traffic``, ``shuffle``,
@@ -302,7 +301,7 @@ def run_pserver(
     }
 
 
-# -- the GUPS kernel (moved from repro.apps.randomaccess) ---------------------
+# -- the GUPS kernel ---------------------------------------------------------
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Tests for the multi-node cluster and ring allreduce."""
+"""Tests for the multi-node cluster and ring allreduce as an app kernel."""
 
 import pytest
 
-from repro.apps import run_ring_allreduce
+from repro.collectives import run_collective
 from repro.core.components import ComponentTimes
 from repro.core.models import EndToEndLatencyModel
 from repro.node import Cluster, SystemConfig
@@ -62,13 +62,16 @@ class TestCluster:
         assert marks["one_way"] == pytest.approx(E2E, rel=0.05)
 
 
+def ring_allreduce(n_nodes: int, **params):
+    return run_collective(
+        "allreduce", Cluster(n_nodes, config=DET), algorithm="ring", **params
+    )
+
+
 class TestRingAllreduce:
     @pytest.fixture(scope="class")
     def results(self):
-        return {
-            n: run_ring_allreduce(n, config=DET, iterations=5)
-            for n in (2, 4, 8)
-        }
+        return {n: ring_allreduce(n, iterations=5) for n in (2, 4, 8)}
 
     def test_step_count(self, results):
         assert results[2].steps == 2
@@ -84,21 +87,19 @@ class TestRingAllreduce:
             )
 
     def test_total_scales_with_2n_minus_1_steps(self, results):
-        ratio = results[8].time_per_allreduce_ns / results[2].time_per_allreduce_ns
+        ratio = results[8].time_per_iteration_ns / results[2].time_per_iteration_ns
         assert ratio == pytest.approx(14 / 2, rel=0.02)
 
     def test_compute_heavy_reduce_adds_per_step(self):
-        light = run_ring_allreduce(4, config=DET, iterations=3, reduce_compute_ns=0.0)
-        heavy = run_ring_allreduce(
-            4, config=DET, iterations=3, reduce_compute_ns=500.0
-        )
+        light = ring_allreduce(4, iterations=3, reduce_compute_ns=0.0)
+        heavy = ring_allreduce(4, iterations=3, reduce_compute_ns=500.0)
         added = heavy.time_per_step_ns - light.time_per_step_ns
         assert added == pytest.approx(500.0, abs=30.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            run_ring_allreduce(4, config=DET, iterations=0)
+            ring_allreduce(4, iterations=0)
         with pytest.raises(ValueError):
-            run_ring_allreduce(4, config=DET, reduce_compute_ns=-1.0)
+            ring_allreduce(4, reduce_compute_ns=-1.0)
         with pytest.raises(ValueError):
-            run_ring_allreduce(1, config=DET)
+            ring_allreduce(1)

@@ -5,6 +5,12 @@ byte-identical to serial, re-runs are served from the cache, and a
 crashing point becomes an error record instead of aborting the sweep.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.campaign import CampaignSpec, ResultCache, SweepAxis, run_campaign
@@ -99,7 +105,7 @@ class TestCaching:
 
 
 class TestWorkStealingDispatch:
-    """jobs>1 feeds pending points through the work-stealing executor."""
+    """jobs>1 feeds pending points to a pool whose idle workers pull them."""
 
     def test_more_jobs_than_points_still_completes(self):
         spec = _selftest_spec(axes=(SweepAxis("value", (1.0, 2.0)),))
@@ -108,8 +114,7 @@ class TestWorkStealingDispatch:
         assert not result.failures
 
     def test_executor_preserves_point_order_and_isolates_failures(self):
-        from repro.campaign.runner import _execute_point, _point_payload
-        from repro.serve.executor import WorkStealingExecutor
+        from repro.campaign.runner import _point_payload, execute_points
 
         spec = CampaignSpec(
             name="steal-order",
@@ -121,8 +126,7 @@ class TestWorkStealingDispatch:
             _point_payload(spec, point, key=f"key{point.index}", cache_dir=None)
             for point in spec.points()
         ]
-        with WorkStealingExecutor(_execute_point, jobs=2) as executor:
-            outcomes = executor.map(payloads)
+        outcomes = execute_points(payloads, jobs=2)
         assert [outcome["index"] for outcome in outcomes] == [0, 1, 2]
         assert [outcome["status"] for outcome in outcomes] == ["ok", "error", "ok"]
 
@@ -229,6 +233,48 @@ class TestFailureIsolation:
         rendered = run_campaign(self._failing_spec()).render()
         assert "ValueError" in rendered
         assert "failed=2" in rendered
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # A worker killed mid-point (segfault, OOM kill) must fail the
+        # campaign, not leave the parent waiting forever.  The campaign
+        # runs in a child process so a hang fails on the timeout below
+        # instead of wedging the suite.
+        script = textwrap.dedent(
+            """
+            import os
+
+            from repro.campaign import (
+                CampaignSpec, SweepAxis, register_workload, run_campaign,
+            )
+            from repro.node import SystemConfig
+
+            def crash_on_one(config, value=0):
+                if value == 1:
+                    os._exit(3)
+                return {"value": value}
+
+            register_workload("crash_on_one", crash_on_one)
+            run_campaign(
+                CampaignSpec(
+                    name="worker-death",
+                    workload="crash_on_one",
+                    base_config=SystemConfig.paper_testbed(),
+                    axes=(SweepAxis("value", (0, 1, 2)),),
+                ),
+                jobs=2,
+            )
+            """
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
 
 
 class TestValidation:

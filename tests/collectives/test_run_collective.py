@@ -3,8 +3,7 @@
 Two contracts pinned here:
 
 * **dispatch** — one entry point covering (op, algorithm, offload),
-  with exit-with-registered-list errors and the legacy named functions
-  as thin delegating wrappers;
+  with exit-with-registered-list errors;
 * **bit-identity** — the host algorithms behind the new surface produce
   *exactly* the pre-redesign timelines (golden totals captured before
   ``run_collective`` existed), so the API redesign is provably
@@ -15,7 +14,6 @@ import pytest
 
 import repro.collectives as collectives
 from repro.collectives import run_collective
-from repro.collectives.algorithms import barrier, ring_allreduce, tree_broadcast
 from repro.collectives.workloads import (
     allreduce_workload,
     barrier_workload,
@@ -54,26 +52,6 @@ class TestGoldenDefaults:
         assert result["total_ns"] == GOLDEN_TOTALS[key]
         assert result["offload"] == "host"
 
-    def test_wrappers_delegate_without_timing_changes(self):
-        # The legacy named functions go through run_collective now;
-        # they must still reproduce the same golden timeline.
-        assert (
-            barrier(Cluster(4, config=DET), iterations=1).total_ns
-            == GOLDEN_TOTALS[("barrier", 4, None, 1)]
-        )
-        assert (
-            tree_broadcast(Cluster(4, config=DET), iterations=1).total_ns
-            == GOLDEN_TOTALS[("bcast", 4, None, 1)]
-        )
-
-    def test_wrapper_equals_run_collective(self):
-        via_wrapper = ring_allreduce(Cluster(4, config=DET), iterations=1)
-        via_dispatch = run_collective(
-            "allreduce", Cluster(4, config=DET), algorithm="ring", iterations=1
-        )
-        assert via_wrapper.total_ns == via_dispatch.total_ns
-        assert via_dispatch.offload == "host"
-
 
 class TestDispatch:
     def test_unknown_op_lists_registered(self):
@@ -106,7 +84,6 @@ class TestPublicSurface:
 
     EXPECTED = [
         "CollectiveResult",
-        "barrier",
         "path_end_to_end_ns",
         "predicted_barrier_ns",
         "predicted_nic_barrier_ns",
@@ -114,10 +91,7 @@ class TestPublicSurface:
         "predicted_recursive_doubling_ns",
         "predicted_ring_allreduce_ns",
         "predicted_tree_broadcast_ns",
-        "recursive_doubling_allreduce",
-        "ring_allreduce",
         "run_collective",
-        "tree_broadcast",
     ]
 
     def test_all_is_exactly_the_curated_surface(self):

@@ -10,7 +10,7 @@ dependency chain with the actual routed per-link latencies — within 5%.
 
 import pytest
 
-from repro.collectives import predicted_ring_allreduce_ns, ring_allreduce
+from repro.collectives import predicted_ring_allreduce_ns, run_collective
 from repro.node.cluster import Cluster
 from repro.node.config import SystemConfig
 
@@ -24,7 +24,9 @@ class TestRingAllreduce64:
             SystemConfig.builder().deterministic().topology("fat_tree:4").build()
         )
         cluster = Cluster(N_NODES, config=config)
-        result = ring_allreduce(cluster, payload_bytes=8, iterations=1)
+        result = run_collective(
+            "allreduce", cluster, algorithm="ring", payload_bytes=8, iterations=1
+        )
         return cluster, result
 
     def test_completes_within_5pct_of_the_2n_minus_1_step_model(self, outcome):

@@ -7,7 +7,7 @@ zero PCIe, NIC or network events — while inter-node messages still walk
 the full stack.
 """
 
-from repro.collectives.algorithms import ring_allreduce
+from repro.collectives import run_collective
 from repro.node.cluster import Cluster
 from repro.node.config import SystemConfig
 from repro.trace import trace_session
@@ -31,7 +31,7 @@ class TestIntraNodeBypass:
     def test_shm_messages_have_zero_pcie_nic_events(self):
         with trace_session() as session:
             cluster = Cluster(2, config=DET, processes_per_node=2)
-            result = ring_allreduce(cluster, iterations=1)
+            result = run_collective("allreduce", cluster, algorithm="ring", iterations=1)
         assert result.processes_per_node == 2
         assert result.total_ns > 0
 
@@ -59,7 +59,7 @@ class TestIntraNodeBypass:
     def test_single_rank_per_node_has_no_shm_events(self):
         with trace_session() as session:
             cluster = Cluster(2, config=DET)
-            ring_allreduce(cluster, iterations=1)
+            run_collective("allreduce", cluster, algorithm="ring", iterations=1)
         assert not [
             span
             for tracer in session.tracers

@@ -64,7 +64,6 @@ class TestEntryPoints:
         for module, attr in (
             ("repro.node.testbed", "Testbed"),
             ("repro.node.cluster", "Cluster"),
-            ("repro.apps", "run_ring_allreduce"),
             ("repro.bench", "run_am_lat"),
         ):
             assert hasattr(importlib.import_module(module), attr)

@@ -157,24 +157,3 @@ class TestCampaignWrappers:
         assert result["updates"] == 40
         assert result["gups"] > 0
         assert result["nic_gups"] > 0
-
-
-class TestAppShims:
-    def test_stencil_shim_warns_and_matches_traffic_result(self):
-        from repro.apps.stencil import run_halo_exchange
-
-        with pytest.warns(DeprecationWarning, match="run_halo_exchange is deprecated"):
-            shim = run_halo_exchange(config=DET, iterations=10)
-        from repro.traffic.workloads import halo_workload
-
-        direct = halo_workload(DET, iterations=10)
-        assert shim.total_comm_ns == direct["total_comm_ns"]
-        assert shim.total_ns == direct["total_ns"]
-
-    def test_randomaccess_shim_warns_and_delegates(self):
-        from repro.apps.randomaccess import run_random_access
-
-        with pytest.warns(DeprecationWarning, match="run_random_access is deprecated"):
-            shim = run_random_access(n_cores=2, config=DET, updates_per_core=20)
-        assert shim.updates == 40
-        assert shim.gups > 0
