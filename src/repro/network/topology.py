@@ -9,15 +9,17 @@ and key the campaign result cache) and the built :class:`Topology`
 (the concrete node/link graph plus shortest-path routing tables).
 
 Routing is deterministic: next-hop tables come from a breadth-first
-search per destination with neighbours visited in sorted-name order, so
-every (src, dst) pair resolves to the same minimal path on every run,
-process and machine.  There is no adaptive or multi-path routing — two
-flows crossing the same link contend for it (see
-:class:`~repro.network.wire.Wire`), which is exactly the effect the
-scale-out experiments need to observe.
+search rooted at each destination's switch, with neighbours visited in
+sorted-name order, so every (src, dst) pair resolves to the same
+minimal path on every run, process and machine.  There is no adaptive
+or multi-path routing — two flows crossing the same link contend for it
+(see :class:`~repro.network.wire.Wire`), which is exactly the effect
+the scale-out experiments need to observe.
 
 Hosts never forward: each host attaches to exactly one switch, so a
-shortest path can only transit switches.
+shortest path can only transit switches, and the tree toward a host is
+the tree toward its switch plus one last hop.  Tables are therefore
+built lazily per root switch over the switch-only graph, not per host.
 """
 
 from __future__ import annotations
@@ -79,10 +81,21 @@ class TopologySpec:
         if kind == "torus":
             if not arg:
                 raise ValueError("torus spec needs dimensions, e.g. 'torus:4x4'")
-            dims = tuple(int(d) for d in arg.split("x"))
+            try:
+                dims = tuple(int(d) for d in arg.split("x"))
+            except ValueError:
+                raise ValueError(
+                    f"cannot parse topology {text!r}; expected 'torus:AxBx...'"
+                ) from None
             return cls(kind="torus", dims=dims)
         if kind == "fat_tree":
-            return cls(kind="fat_tree", k=int(arg) if arg else 4)
+            try:
+                k = int(arg) if arg else 4
+            except ValueError:
+                raise ValueError(
+                    f"cannot parse topology {text!r}; expected 'fat_tree:K'"
+                ) from None
+            return cls(kind="fat_tree", k=k)
         raise ValueError(
             f"cannot parse topology {text!r}; expected one of "
             "'ring', 'torus:AxBx...', 'fat_tree:K'"
@@ -108,10 +121,8 @@ def _ring_edges(hosts: tuple[str, ...]) -> list[tuple[str, str]]:
     """One router per host, routers in a cycle."""
     n = len(hosts)
     edges = [(host, f"ring.s{i}") for i, host in enumerate(hosts)]
-    for i in range(n):
-        j = (i + 1) % n
-        if j != i and (f"ring.s{j}", f"ring.s{i}") not in edges:
-            edges.append((f"ring.s{i}", f"ring.s{j}"))
+    # At n = 2 both cables join s0 and s1; Topology keeps one.
+    edges += [(f"ring.s{i}", f"ring.s{(i + 1) % n}") for i in range(n)]
     return edges
 
 
@@ -217,11 +228,21 @@ class Topology:
             for node, neighbours in adjacency.items()
         }
         for host in hosts:
-            degree = len(self.adjacency.get(host, ()))
-            if degree != 1:
+            neighbours = self.adjacency.get(host, ())
+            if len(neighbours) != 1 or neighbours[0] in host_set:
                 raise ValueError(
-                    f"host {host!r} must attach to exactly one switch, has {degree}"
+                    f"host {host!r} must attach to exactly one switch, "
+                    f"has neighbours {list(neighbours)}"
                 )
+        #: Routing root of every node: a switch is its own, a host's is
+        #: the switch it hangs off (its only neighbour).
+        self._root: dict[str, str] = {s: s for s in self.switches}
+        self._root.update((host, self.adjacency[host][0]) for host in hosts)
+        self._switch_adjacency: dict[str, tuple[str, ...]] = {
+            s: tuple(n for n in self.adjacency[s] if n not in host_set)
+            for s in self.switches
+        }
+        #: Lazily built next-hop tables, one per root switch.
         self._next_hop: dict[str, dict[str, str]] = {}
         self._check_connected()
 
@@ -248,41 +269,58 @@ class Topology:
                 out.append((node, neighbour))
         return tuple(sorted(out))
 
-    def _table_for(self, dst: str) -> dict[str, str]:
-        """next-hop-toward-``dst`` for every node, via BFS from ``dst``."""
-        table = self._next_hop.get(dst)
+    def _table_for(self, root: str) -> dict[str, str]:
+        """next-hop-toward-``root`` for every other switch, via BFS.
+
+        Hosts are leaves of every BFS tree, so searching the switch-only
+        graph in sorted-name order visits switches in exactly the order
+        a full-graph search from any host on ``root`` would.
+        """
+        table = self._next_hop.get(root)
         if table is None:
             table = {}
-            frontier = deque([dst])
-            seen = {dst}
+            frontier = deque([root])
+            seen = {root}
             while frontier:
                 node = frontier.popleft()
-                for neighbour in self.adjacency[node]:
+                for neighbour in self._switch_adjacency[node]:
                     if neighbour not in seen:
                         seen.add(neighbour)
                         table[neighbour] = node
                         frontier.append(neighbour)
-            self._next_hop[dst] = table
+            self._next_hop[root] = table
         return table
 
     def next_hop(self, node: str, dst: str) -> str:
-        """The neighbour ``node`` forwards to on the way to host ``dst``."""
-        if dst not in self.adjacency:
+        """The neighbour ``node`` forwards to on the way to ``dst``."""
+        root = self._root.get(dst)
+        if root is None:
             raise KeyError(f"unknown destination {dst!r}")
-        try:
-            return self._table_for(dst)[node]
-        except KeyError:
-            raise KeyError(f"unknown node {node!r}") from None
+        hop = self._root.get(node)
+        if hop is None or node == dst:
+            raise KeyError(f"unknown node {node!r}")
+        if hop != node:
+            return hop  # a host forwards to its switch
+        if node == root:
+            return dst
+        return self._table_for(root)[node]
 
     def path(self, src: str, dst: str) -> list[str]:
         """The full routed node sequence ``[src, ..., dst]``."""
         if src == dst:
             return [src]
-        nodes = [src]
-        while nodes[-1] != dst:
-            nodes.append(self.next_hop(nodes[-1], dst))
-            if len(nodes) > len(self.adjacency):
-                raise RuntimeError(f"routing loop between {src!r} and {dst!r}")
+        root = self._root.get(dst)
+        if root is None:
+            raise KeyError(f"unknown destination {dst!r}")
+        start = self._root.get(src)
+        if start is None:
+            raise KeyError(f"unknown node {src!r}")
+        nodes = [src] if start == src else [src, start]
+        table = self._table_for(root)
+        while nodes[-1] != root:
+            nodes.append(table[nodes[-1]])
+        if root != dst:
+            nodes.append(dst)
         return nodes
 
     def hop_counts(self, src: str, dst: str) -> tuple[int, int]:

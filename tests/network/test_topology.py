@@ -68,6 +68,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             spec.build(["a", "a"])
 
+    @pytest.mark.parametrize(
+        "text,form", [("torus:4x", "'torus:AxBx...'"), ("fat_tree:x", "'fat_tree:K'")]
+    )
+    def test_parse_errors_name_the_spec_and_form(self, text, form):
+        with pytest.raises(ValueError) as info:
+            TopologySpec.parse(text)
+        assert repr(text) in str(info.value) and form in str(info.value)
+
     def test_torus_capacity_enforced(self):
         with pytest.raises(ValueError):
             TopologySpec(kind="torus", dims=(2, 2)).build(hosts(5))
@@ -90,6 +98,20 @@ class TestGenerators:
         for switch in topology.switches:
             # one host + two ring neighbours
             assert len(topology.adjacency[switch]) == 3
+
+    def test_ring_links_pinned(self):
+        # n = 2: both ring cables join s0 and s1, so one cable remains.
+        assert TopologySpec.parse("ring").build(hosts(2)).links == (
+            ("node0", "ring.s0"), ("node1", "ring.s1"),
+            ("ring.s0", "node0"), ("ring.s0", "ring.s1"),
+            ("ring.s1", "node1"), ("ring.s1", "ring.s0"),
+        )
+        assert TopologySpec.parse("ring").build(hosts(3)).links == (
+            ("node0", "ring.s0"), ("node1", "ring.s1"), ("node2", "ring.s2"),
+            ("ring.s0", "node0"), ("ring.s0", "ring.s1"), ("ring.s0", "ring.s2"),
+            ("ring.s1", "node1"), ("ring.s1", "ring.s0"), ("ring.s1", "ring.s2"),
+            ("ring.s2", "node2"), ("ring.s2", "ring.s0"), ("ring.s2", "ring.s1"),
+        )
 
     def test_fat_tree_tier_counts(self):
         topology = TopologySpec.parse("fat_tree:4").build(hosts(16))
@@ -164,6 +186,22 @@ class TestRouting:
             fat_tree.next_hop("node0", "nowhere")
         with pytest.raises(KeyError):
             fat_tree.next_hop("nowhere", "node0")
+
+    def test_at_most_one_routing_table_per_switch(self):
+        # Hosts are leaves of every BFS tree, so tables are rooted at
+        # switches: 128 hosts on k=8 need at most 80, not 128.
+        topology = TopologySpec.parse("fat_tree:8").build(hosts(128))
+        for src in topology.hosts:
+            for dst in topology.hosts:
+                topology.path(src, dst)
+                if src != dst:
+                    topology.next_hop(src, dst)
+        assert len(topology.switches) == 80
+        assert 0 < len(topology._next_hop) <= len(topology.switches)
+
+    def test_hosts_must_attach_to_a_switch(self):
+        with pytest.raises(ValueError, match="exactly one switch"):
+            Topology(TopologySpec(kind="ring"), ("a", "b"), [("a", "b")])
 
     def test_trivial_path(self, fat_tree):
         assert fat_tree.path("node3", "node3") == ["node3"]
