@@ -10,13 +10,14 @@ changes have a machine-readable perf trajectory to compare against.
 """
 
 import json
-import os
 import pathlib
 import time
 import timeit
 
+from repro.analysis import measure_component_times
 from repro.bench import run_am_lat, run_put_bw
 from repro.campaign import CampaignSpec, SweepAxis, run_campaign
+from repro.campaign.runner import resolve_jobs, usable_cpus
 from repro.node import SystemConfig
 from repro.sim.engine import NULL_TRACER
 from repro.trace import trace_session
@@ -267,7 +268,7 @@ def test_campaign_parallel_speed(benchmark):
     # Parallel execution must not change the physics.
     assert parallel.measurements_json() == serial.measurements_json()
 
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     speedup = serial_s / parallel_s if parallel_s else 0.0
     _record(
         "campaign",
@@ -284,6 +285,45 @@ def test_campaign_parallel_speed(benchmark):
         assert speedup >= 1.5, (
             f"jobs=4 on {cpus} cpus sped the reference campaign up only "
             f"{speedup:.2f}x (serial {serial_s:.3f}s, parallel {parallel_s:.3f}s)"
+        )
+
+
+def test_methodology_parallel_speed():
+    """The quick measurement campaign inline vs on its default workers.
+
+    ``measure_component_times`` runs its 23 independent simulations
+    through ``execute_points``; by default on one worker per usable
+    core.  The two results must be equal field for field, and with at
+    least 2 usable cores the default must be at least 1.2x faster.
+    """
+    config = SystemConfig.paper_testbed(seed=2019)
+    t0 = time.perf_counter()
+    serial = measure_component_times(config, quick=True, jobs=1)
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pooled = measure_component_times(config, quick=True)
+    default_s = time.perf_counter() - t0
+    assert pooled == serial
+
+    cpus = usable_cpus()
+    speedup = serial_s / default_s
+    _record(
+        "methodology",
+        {
+            "campaign": "measure_component_times(quick=True), seed 2019",
+            "serial_wall_s": serial_s,
+            "default_wall_s": default_s,
+            "default_jobs": resolve_jobs(None),
+            "speedup": speedup,
+            "cpus": cpus,
+            "equal": pooled == serial,
+        },
+    )
+    if cpus >= 2:
+        assert speedup >= 1.2, (
+            f"the default jobs on {cpus} cpus sped the measurement campaign "
+            f"up only {speedup:.2f}x (serial {serial_s:.3f}s, "
+            f"default {default_s:.3f}s)"
         )
 
 

@@ -40,9 +40,16 @@ from repro.campaign.cache import ResultCache, point_cache_key
 from repro.campaign.records import STATUS_ERROR, STATUS_OK, CampaignResult, RunRecord
 from repro.campaign.spec import CampaignSpec, SweepPoint
 from repro.campaign.workloads import get_workload
+from repro.sim import engine as sim_engine
 from repro.sim.hashing import canonicalize
 
-__all__ = ["PointTimeout", "execute_points", "run_campaign"]
+__all__ = [
+    "PointTimeout",
+    "execute_points",
+    "resolve_jobs",
+    "run_campaign",
+    "usable_cpus",
+]
 
 
 class PointTimeout(Exception):
@@ -192,23 +199,71 @@ def _point_payload(
     )
 
 
-def execute_points(payloads: list[tuple], jobs: int) -> list[dict[str, Any]]:
-    """Run :func:`_execute_point` over ``payloads``; records in payload order.
+#: Set by the pool initializer: this process is an :func:`execute_points`
+#: worker, so an automatic ``jobs`` must not open a nested pool.
+_in_pool_worker = False
+
+
+def _mark_pool_worker() -> None:
+    global _in_pool_worker
+    _in_pool_worker = True
+
+
+def usable_cpus() -> int:
+    """Cores this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """The worker count for a ``jobs`` argument where ``None`` means automatic.
+
+    ``None`` is one worker per usable core, except inside an
+    :func:`execute_points` worker (pools do not nest).  While a tracer
+    factory is installed (a :func:`repro.trace.trace_session`) every
+    value resolves to 1: spans land only in the caller's session, so
+    the work must run in the caller's process.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if sim_engine._tracer_factory is not None:
+        return 1
+    if jobs is None:
+        return 1 if _in_pool_worker else usable_cpus()
+    return jobs
+
+
+def execute_points(
+    payloads: list[Any],
+    jobs: int,
+    fn: Callable[[Any], Any] = _execute_point,
+) -> list[Any]:
+    """Map ``fn`` (a sweep point by default) over ``payloads``, in order.
 
     ``jobs <= 1`` (or at most one payload) runs inline.  Otherwise a
-    process pool of ``min(jobs, len(payloads))`` workers pulls points
+    process pool of ``min(jobs, len(payloads))`` workers pulls payloads
     from one shared call queue, and a worker that dies raises
-    ``BrokenProcessPool``.  The pool forks where fork exists, so
-    workloads registered at runtime reach the workers.
+    ``BrokenProcessPool``.  ``fn`` and its payloads must pickle; the
+    default never raises (errors become the record), any other ``fn``
+    that raises re-raises here with its type and message, and the
+    payloads not yet started are cancelled.  The pool forks where fork
+    exists, so workloads registered at runtime reach the workers.
     """
     if jobs <= 1 or len(payloads) <= 1:
-        return [_execute_point(payload) for payload in payloads]
+        return [fn(payload) for payload in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(min(jobs, len(payloads)), mp_context=context) as pool:
-        return list(pool.map(_execute_point, payloads))
+    with ProcessPoolExecutor(
+        min(jobs, len(payloads)), mp_context=context, initializer=_mark_pool_worker
+    ) as pool:
+        try:
+            return list(pool.map(fn, payloads))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_campaign(

@@ -13,10 +13,12 @@ Commands
     Check the four analytical models against the paper's observations.
 ``campaign [--quick] [--seed N] [--replications N] [--jobs N] [--cache-dir DIR]``
     Run the full measurement methodology against the simulator and
-    print the regenerated Table 1 + validation.  With ``--replications``
-    the whole pipeline instead runs as a multi-seed campaign through
-    :mod:`repro.campaign` — fanned across ``--jobs`` worker processes,
-    with completed seeds cached under ``--cache-dir``.
+    print the regenerated Table 1 + validation; ``--jobs`` fans its 23
+    independent runs across worker processes (same output for any N).
+    With ``--replications`` the whole pipeline instead runs as a
+    multi-seed campaign through :mod:`repro.campaign` — fanned across
+    ``--jobs`` worker processes, with completed seeds cached under
+    ``--cache-dir``.
 ``rank --metric {injection,latency} --reduction R``
     Rank all components by the overall speedup a given reduction buys.
 ``bench WORKLOAD [--sweep AXIS=V1,V2,...] [--seeds S1,S2,...]``
@@ -477,10 +479,12 @@ def _cmd_campaign(args: argparse.Namespace, out) -> int:
         from repro.trace import trace_session
 
         with trace_session() as session:
-            campaign = measure_component_times(config, quick=args.quick)
+            campaign = measure_component_times(
+                config, quick=args.quick, jobs=args.jobs
+            )
         _write_trace(session, args.trace_out, out)
     else:
-        campaign = measure_component_times(config, quick=args.quick)
+        campaign = measure_component_times(config, quick=args.quick, jobs=args.jobs)
     measured = campaign.to_component_times()
     print(exp.experiment_table1(measured, reference=ComponentTimes.paper()), file=out)
     print("", file=out)

@@ -86,6 +86,17 @@ class _Runtime:
             self._comms[key] = comm
         return comm
 
+    def flush(self, index: int) -> Generator:
+        """Progress rank ``index`` until none of its sends is busy-posted.
+
+        The algorithms wait only on their receives, so with a TxQ too
+        shallow for the traffic a rank could exit with a send still
+        pending and leave its peer spinning forever.  Returns at once,
+        charging nothing, when no send is pending.
+        """
+        ucp = self.stacks[index].ucp
+        yield from ucp.progress_until(lambda: not ucp.pending_sends)
+
 
 def _validate(n_nodes: int, iterations: int, reduce_compute_ns: float) -> None:
     if n_nodes < 2:
@@ -131,6 +142,7 @@ def _ring_allreduce_impl(
                 yield from comm.wait(incoming)
                 if reduce_compute_ns > 0:
                     yield from core.execute("reduce_op", mean=reduce_compute_ns)
+        yield from runtime.flush(index)
         if index == 0:
             marks["t_end"] = env.now
 
@@ -187,6 +199,7 @@ def _recursive_doubling_allreduce_impl(
                 yield from comm.wait(incoming)
                 if reduce_compute_ns > 0:
                     yield from core.execute("reduce_op", mean=reduce_compute_ns)
+        yield from runtime.flush(index)
 
     processes = [
         env.process(rank(index), name=f"rd_allreduce.rank{index}")
@@ -258,6 +271,7 @@ def _tree_broadcast_impl(
                 comm = runtime.comm(index, child)
                 request = yield from comm.isend(payload_bytes)
                 yield from comm.wait(request)
+        yield from runtime.flush(index)
 
     processes = [
         env.process(rank(index), name=f"bcast.rank{index}")
@@ -308,6 +322,7 @@ def _barrier_impl(
                 incoming = yield from inc.irecv(token_bytes)
                 yield from out.isend(token_bytes)
                 yield from inc.wait(incoming)
+        yield from runtime.flush(index)
 
     processes = [
         env.process(rank(index), name=f"barrier.rank{index}")

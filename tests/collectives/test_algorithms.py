@@ -122,3 +122,48 @@ class TestBarrier:
         assert result.total_ns == pytest.approx(
             predicted_barrier_ns(5, DET), rel=0.02
         )
+
+
+class _Cut(Exception):
+    """Raised on the calendar at the horizon."""
+
+
+def _cut() -> None:
+    raise _Cut
+
+
+class TestShallowTxQ:
+    """A TxQ of depth 1 busy-posts sends; every rank must still finish.
+
+    Without the exit flush a rank could leave with a busy-posted send
+    pending, and its peer would spin on that receive forever.
+    """
+
+    HORIZON_NS = 1_000_000.0
+
+    @pytest.mark.parametrize(
+        "algorithm,n_nodes,ppn,rails,topology",
+        [
+            ("ring", 8, 1, 1, "fat_tree:4"),
+            ("recursive_doubling", 8, 2, 2, None),
+        ],
+    )
+    def test_allreduce_finishes(self, algorithm, n_nodes, ppn, rails, topology):
+        config = (
+            SystemConfig.builder()
+            .seed(0)
+            .topology(topology)
+            .transport(rails=rails)
+            .nic(txq_depth=1)
+            .build()
+        )
+        cluster = Cluster(n_nodes, config=config, processes_per_node=ppn)
+        cluster.env.defer_at(_cut, self.HORIZON_NS)
+        try:
+            result = run_collective(
+                "allreduce", cluster, algorithm=algorithm,
+                iterations=4, signal_period=1,
+            )
+        except _Cut:
+            pytest.fail(f"{algorithm} allreduce still running at the horizon")
+        assert 0 < result.total_ns < self.HORIZON_NS

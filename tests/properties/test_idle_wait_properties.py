@@ -30,10 +30,10 @@ _HOST_OPS = (
     ("barrier", "dissemination"),
 )
 _TOPOLOGIES = (None, "fat_tree:4", "ring")
-#: Simulated ns after which a run is cut.  The collectives never wait on
-#: their sends, so a rank can finish with a busy-posted send still
-#: pending and leave its partner spinning forever; both runs are then
-#: compared at the cut.
+#: Simulated ns after which a run is cut, so that a run which never
+#: finishes (before ranks flushed their busy-posted sends at exit, a
+#: shallow TxQ could leave a partner spinning forever) is still compared
+#: at the cut rather than hanging the suite.
 _HORIZON_NS = 200_000.0
 
 

@@ -310,6 +310,23 @@ class TestUniformFlags:
         assert code == 2
         assert "--trace is not supported with --replications" in text
 
+    def test_campaign_passes_jobs_to_the_methodology(self, monkeypatch):
+        import repro.analysis
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake(config, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(repro.analysis, "measure_component_times", fake)
+        with pytest.raises(Stop):
+            run_cli("campaign", "--quick", "--jobs", "3")
+        assert seen == {"quick": True, "jobs": 3}
+
     def test_jobs_below_one_exits_2_everywhere(self):
         for argv in (
             ("bench", "am_lat", "--jobs", "0"),
